@@ -15,6 +15,15 @@ mirroring the message-path/end-to-end split of
   vectorized kernels -- asserts the results are bit-identical, and
   requires the kernels to be >= 3x faster at 5,000 nodes.  The speedup
   trajectory over fleet sizes lands in ``BENCH_estimation.json``.
+* ``test_narrow_batch_fused_vs_per_quantity`` times RESPONSE fan-in
+  batches shaped like the ``plume_storm`` benchmark workload's -- 8
+  receivers (one sender's neighbourhood) padded to the fleet's maximum
+  degree (16-19 slots), thousands of times -- once through the per-quantity call sequence the batch path used
+  to make (pad each receiver partition, one kernel call per quantity) and
+  once through the fused ``pas_response_estimates`` kernel (one gather,
+  one sequential sum).  At this width per-call overhead, not per-row math,
+  is the cost, which the 1k-5k wide waves above hide.  The per-batch
+  microseconds land in ``BENCH_estimation.json`` under ``narrow_batch``.
 * ``test_columnar_end_to_end_matches_and_wins`` runs a full seeded PAS
   plume scenario on the batched engine under ``estimation="scalar"`` and
   ``estimation="columnar"``, re-asserting summary bit-identity at
@@ -24,7 +33,7 @@ mirroring the message-path/end-to-end split of
   sleep policy, event scheduling -- stays Python; see ROADMAP open
   item 1.)
 
-Both are marked ``slow``.  ``KERNEL_BENCH_TINY=1`` shrinks the fleets and
+All are marked ``slow``.  ``KERNEL_BENCH_TINY=1`` shrinks the fleets and
 drops the hard wall-clock assertions so CI can smoke the file on noisy
 shared runners.  The artifact is written to the current working directory
 unless ``BENCH_ARTIFACT_DIR`` points elsewhere.
@@ -157,6 +166,14 @@ def _artifact_path():
     return Path(os.environ.get("BENCH_ARTIFACT_DIR", ".")) / "BENCH_estimation.json"
 
 
+def _update_artifact(entries):
+    """Merge ``entries`` into the artifact (each test owns its own keys)."""
+    path = _artifact_path()
+    artifact = json.loads(path.read_text()) if path.exists() else {}
+    artifact.update(entries)
+    path.write_text(json.dumps(artifact, indent=2))
+
+
 @pytest.mark.slow
 def test_estimation_wave_speedup_5000_nodes():
     """Columnar kernels must beat the scalar estimators by >= 3x at 5k."""
@@ -199,14 +216,15 @@ def test_estimation_wave_speedup_5000_nodes():
             f"columnar {columnar_s * 1e3:.1f} ms, speedup {speedup:.1f}x"
         )
 
-    artifact = {
-        "benchmark": "columnar_estimation_wave",
-        "tiny": TINY,
-        "tx_range_m": _TX_RANGE,
-        "density_nodes_per_m2": _DENSITY,
-        "trajectory": trajectory,
-    }
-    _artifact_path().write_text(json.dumps(artifact, indent=2))
+    _update_artifact(
+        {
+            "benchmark": "columnar_estimation_wave",
+            "tiny": TINY,
+            "tx_range_m": _TX_RANGE,
+            "density_nodes_per_m2": _DENSITY,
+            "trajectory": trajectory,
+        }
+    )
 
     if not TINY:
         final = trajectory[-1]
@@ -214,6 +232,122 @@ def test_estimation_wave_speedup_5000_nodes():
         assert final["speedup"] >= 3.0, (
             f"columnar estimation only {final['speedup']:.1f}x faster at 5k nodes"
         )
+
+
+#: Narrow-batch shape: receivers per RESPONSE batch and batches timed.
+NARROW_RECEIVERS = 8
+NARROW_BATCHES = 200 if TINY else 2000
+
+
+def _narrow_batches(est, num_nodes, seed=1):
+    """Sender-neighbourhood receiver batches with mixed covered states."""
+    rng = np.random.default_rng(seed)
+    batches = []
+    while len(batches) < NARROW_BATCHES:
+        sender = int(rng.integers(num_nodes))
+        receivers = est.nbr_ids[est.indptr[sender] : est.indptr[sender + 1]]
+        if len(receivers) < NARROW_RECEIVERS:
+            continue
+        rows = np.sort(
+            rng.choice(receivers, NARROW_RECEIVERS, replace=False)
+        ).astype(np.intp)
+        covered = rng.random(NARROW_RECEIVERS) < 2 / 3
+        detections = np.where(covered, rng.uniform(0.0, NOW, NARROW_RECEIVERS), np.nan)
+        batches.append((rows, covered, detections))
+    return batches
+
+
+def _per_quantity_batch(est, rows, covered, detections):
+    """The pre-fusion call sequence of one RESPONSE batch."""
+    results = []
+    if covered.any():
+        cov_rows = rows[covered]
+        pad = est.padded(cov_rows)
+        mask = est.covered_mask(pad, NOW)
+        dets = detections[covered]
+        results.append(est.actual_velocity_many(cov_rows, dets, pad, mask))
+        results.append(
+            est.actual_velocity_many(cov_rows, dets, pad, mask, outward=True)
+        )
+        results.append(est.expected_velocity_many(pad, mask))
+    if not covered.all():
+        unc_rows = rows[~covered]
+        pad = est.padded(unc_rows)
+        mask = est.informative_mask(pad, NOW)
+        results.append(est.expected_velocity_many(pad, mask))
+        results.append(est.expected_arrival_time_many(unc_rows, pad, mask, NOW))
+    return results
+
+
+def _fused_batch(est, rows, covered, detections):
+    return est.pas_response_estimates(rows, covered, detections, NOW)
+
+
+@pytest.mark.slow
+def test_narrow_batch_fused_vs_per_quantity():
+    """Per-batch cost of plume-sized RESPONSE batches, old shape vs fused.
+
+    The per-quantity kernels share the fused kernel's formulas, so the two
+    legs differ only in call shape (padding per partition and one kernel
+    call per quantity vs one gather and one sum).  Their results must
+    agree exactly.  The timing is recorded, not gated: on a shared 2-vCPU
+    host the ratio ranged 1.3-2.8x between runs of this test.
+    """
+    num_nodes = 400 if TINY else 1000
+    _, est, _ = _populated_world(num_nodes)
+    batches = _narrow_batches(est, num_nodes)
+
+    for rows, covered, detections in batches[:50]:
+        old = _per_quantity_batch(est, rows, covered, detections)
+        (bx, by, fx, fy, mx, my), (bn, fn, mn), arrival = _fused_batch(
+            est, rows, covered, detections
+        )
+        if covered.any():
+            (cbx, cby, cbn), (cfx, cfy, cfn), (cmx, cmy, cmn) = old[:3]
+            k = np.flatnonzero(covered)
+            assert np.array_equal(cbn, np.take(bn, k))
+            assert np.array_equal(cfn, np.take(fn, k))
+            assert np.array_equal(cmn, np.take(mn, k))
+            for kernel, fused in ((cbx, bx), (cby, by), (cfx, fx), (cfy, fy),
+                                  (cmx, mx), (cmy, my)):
+                assert kernel.tolist() == np.take(fused, k).tolist()
+        if not covered.all():
+            (ux, uy, un), upred = old[-2:]
+            k = np.flatnonzero(~covered)
+            assert np.array_equal(un, np.take(mn, k))
+            assert ux.tolist() == np.take(mx, k).tolist()
+            assert uy.tolist() == np.take(my, k).tolist()
+            assert upred.tolist() == np.take(arrival, k).tolist()
+
+    # Interleave the legs so host-speed drift hits both alike.
+    old_s = fused_s = float("inf")
+    for _ in range(5):
+        for leg in (_per_quantity_batch, _fused_batch):
+            start = time.perf_counter()
+            for batch in batches:
+                leg(est, *batch)
+            elapsed = time.perf_counter() - start
+            if leg is _fused_batch:
+                fused_s = min(fused_s, elapsed)
+            else:
+                old_s = min(old_s, elapsed)
+    widths = [est.padded(rows)[0].shape[1] for rows, _, _ in batches]
+    entry = {
+        "tiny": TINY,
+        "receivers": NARROW_RECEIVERS,
+        "slots": float(np.mean(widths)),
+        "batches": len(batches),
+        "per_quantity_us_per_batch": old_s / len(batches) * 1e6,
+        "fused_us_per_batch": fused_s / len(batches) * 1e6,
+        "speedup": old_s / fused_s,
+    }
+    _update_artifact({"narrow_batch": entry})
+    print(
+        f"\nnarrow batches ({NARROW_RECEIVERS} receivers x {entry['slots']:.0f} "
+        f"slots): per-quantity {entry['per_quantity_us_per_batch']:.0f} us, "
+        f"fused {entry['fused_us_per_batch']:.0f} us per batch "
+        f"({entry['speedup']:.1f}x)"
+    )
 
 
 @pytest.mark.slow

@@ -304,23 +304,23 @@ class PASController(NodeController):
           from the awake/failed/state/knowledge columns and only actual
           responders run any Python controller code.
         * RESPONSE batches are mirrored into the columns with one vectorized
-          write, estimated with one kernel call per quantity over the
-          covered / uncovered receiver partitions, and the results applied
-          per receiver *in delivery order* -- preserving the broadcast (and
-          hence RNG-draw and event-insertion) order of the scalar loop.
+          write, estimated by one batch kernel call over all receivers, and
+          the results applied per receiver *in delivery order* -- preserving
+          the broadcast (and hence RNG-draw and event-insertion) order of
+          the scalar loop.
         """
         if isinstance(message, Request):
             with _telemetry.phase("estimation_kernel"):
-                responders = est.controllers[
+                responders = est.controllers_of(
                     cls._request_responder_rows(est, receiver_ids)
-                ]
+                )
             with _telemetry.phase("apply_loop"):
                 for controller in responders:
                     controller._send_response()
         elif isinstance(message, Response):
             cls._handle_response_batch(est, receiver_ids, message, now)
         else:  # unknown message kinds keep the object path
-            cls.handle_batch(est.controllers[receiver_ids].tolist(), message)
+            cls.handle_batch(est.controllers_of(receiver_ids), message)
 
     @classmethod
     def _request_responder_rows(cls, est, receiver_ids):
@@ -336,7 +336,7 @@ class PASController(NodeController):
         # scalar path builds per-receiver copies with identical contents).
         info = NeighborInfo.from_response(response, now)
         est.record_response_batch(response.sender_id, rows, info)
-        controllers = est.controllers[rows]
+        controllers = est.controllers_of(rows)
         for controller in controllers:
             controller.neighbors.store_newest(info)
         cls._estimate_and_apply(est, rows, controllers, now)
@@ -349,57 +349,47 @@ class PASController(NodeController):
         one node and broadcasts only schedule *future* deliveries), so all
         estimates may be computed up front; only the apply loop -- which
         broadcasts and transitions states -- must run in delivery order.
+        The scheduler-specific halves are :meth:`_batch_estimates` and
+        :meth:`_apply_batch`.
         """
         telemetry = _telemetry.active()
         if telemetry is not None:
             telemetry.count("est.response_batches")
             telemetry.observe("est.fanin", int(rows.size))
         with _telemetry.phase("estimation_kernel"):
-            covered_sel = est.covered_receiver_mask(rows)
-            sub_index = np.where(
-                covered_sel, np.cumsum(covered_sel) - 1, np.cumsum(~covered_sel) - 1
-            )
-            if covered_sel.any():
-                cov_rows = rows[covered_sel]
-                cov_controllers = controllers[covered_sel]
-                det_times = np.array(
-                    [
-                        np.nan if c._detection_time is None else c._detection_time
-                        for c in cov_controllers
-                    ],
-                    dtype=float,
-                )
-                pad = est.padded(cov_rows)
-                cmask = est.covered_mask(pad, now)
-                back = est.actual_velocity_many(cov_rows, det_times, pad, cmask)
-                fwd = est.actual_velocity_many(cov_rows, det_times, pad, cmask, outward=True)
-                mean = est.expected_velocity_many(pad, cmask)
-            uncovered_sel = ~covered_sel
-            if uncovered_sel.any():
-                unc_rows = rows[uncovered_sel]
-                pad_u = est.padded(unc_rows)
-                imask = est.informative_mask(pad_u, now)
-                vel = est.expected_velocity_many(pad_u, imask)
-                pred = est.expected_arrival_time_many(
-                    unc_rows,
-                    pad_u,
-                    imask,
-                    now,
-                    min_reports=controllers[0].config.min_neighbors_for_estimate,
-                )
+            covered = est.covered_receiver_mask(rows)
+            estimates = cls._batch_estimates(est, rows, covered, controllers, now)
         with _telemetry.phase("apply_loop"):
-            for position, controller in enumerate(controllers):
-                k = sub_index[position]
-                if covered_sel[position]:
-                    controller._apply_covered_refresh(
-                        back[0][k], back[1][k], back[2][k],
-                        fwd[0][k], fwd[1][k], fwd[2][k],
-                        mean[0][k], mean[1][k], mean[2][k],
-                    )
-                else:
-                    controller._apply_prediction(
-                        vel[0][k], vel[1][k], vel[2][k], pred[k]
-                    )
+            cls._apply_batch(controllers, covered.tolist(), estimates)
+
+    @classmethod
+    def _batch_estimates(cls, est, rows, covered, controllers, now: float):
+        """PAS: actual-velocity refresh inputs and arrival predictions."""
+        detection_times = np.array(
+            [
+                np.nan if c._detection_time is None else c._detection_time
+                for c in controllers
+            ],
+            dtype=float,
+        )
+        return est.pas_response_estimates(
+            rows,
+            covered,
+            detection_times,
+            now,
+            min_reports=controllers[0].config.min_neighbors_for_estimate,
+        )
+
+    @staticmethod
+    def _apply_batch(controllers, covered, estimates) -> None:
+        means, counts, arrival = estimates
+        for controller, is_covered, bx, by, fx, fy, mx, my, bn, fn, mn, pred in zip(
+            controllers, covered, *means, *counts, arrival
+        ):
+            if is_covered:
+                controller._apply_covered_refresh(bx, by, bn, fx, fy, fn, mx, my, mn)
+            else:
+                controller._apply_prediction(mx, my, mn, pred)
 
     def _apply_covered_refresh(
         self, bx, by, bn, fx, fy, fn, mx, my, mn
@@ -408,22 +398,23 @@ class PASController(NodeController):
 
         ``(bx, by, bn)`` / ``(fx, fy, fn)`` / ``(mx, my, mn)`` are the
         backward finite-difference, outward finite-difference and
-        covered-mean velocity (x, y, contribution count) for this receiver;
-        a zero count means the scalar estimator would have returned ``None``.
+        covered-mean velocity (x, y, contribution count) for this receiver,
+        as Python floats; a zero count means the scalar estimator would have
+        returned ``None``.
         """
         if self._detection_time is None:
             return
         had_estimate = self._velocity is not None
         if bn:
-            estimate = Vec2(float(bx), float(by))
+            estimate = Vec2(bx, by)
         elif fn:
-            estimate = Vec2(float(fx), float(fy))
+            estimate = Vec2(fx, fy)
         else:
             estimate = None
         if estimate is not None:
             self.velocity = blend_velocities(self._velocity, estimate, 0.5)
         elif self._velocity is None:
-            self.velocity = Vec2(float(mx), float(my)) if mn else None
+            self.velocity = Vec2(mx, my) if mn else None
         if self._velocity is not None and not had_estimate:
             self._send_response()
 
@@ -431,10 +422,10 @@ class PASController(NodeController):
         """Apply precomputed kernels exactly as the uncovered RESPONSE path."""
         previous = self._predicted_arrival
         if vn:
-            self.velocity = Vec2(float(vx), float(vy))
-        self.predicted_arrival = float(pred)
+            self.velocity = Vec2(vx, vy)
+        self.predicted_arrival = pred
         if self.machine.state == ProtocolState.ALERT:
-            if self._changed_significantly(previous, self._predicted_arrival):
+            if self._changed_significantly(previous, pred):
                 self._send_response()
             self._evaluate_alert_membership()
 

@@ -58,26 +58,20 @@ class SASController(PASController):
         return est.sas_request_responders(receiver_ids)
 
     @classmethod
-    def _estimate_and_apply(cls, est, rows, controllers, now: float) -> None:
-        """SAS RESPONSE batch: covered receivers ignore it; the rest
-        recompute their arrival estimate with the SAS kernel."""
-        covered_sel = est.covered_receiver_mask(rows)
-        uncovered_sel = ~covered_sel
-        if not uncovered_sel.any():
-            return
-        unc_rows = rows[uncovered_sel]
-        pad = est.padded(unc_rows)
-        cmask = est.covered_mask(pad, now)
-        pred = est.sas_arrival_time_many(unc_rows, pad, cmask, now)
-        k = 0
-        for position, controller in enumerate(controllers):
-            if uncovered_sel[position]:
-                controller._apply_sas_prediction(pred[k])
-                k += 1
+    def _batch_estimates(cls, est, rows, covered, controllers, now: float):
+        """SAS: covered-neighbour arrival estimates (covered receivers ignore
+        the batch, so theirs go unused)."""
+        return est.sas_response_estimates(rows, now)
 
-    def _apply_sas_prediction(self, pred) -> None:
+    @staticmethod
+    def _apply_batch(controllers, covered, estimates) -> None:
+        for controller, is_covered, pred in zip(controllers, covered, estimates):
+            if not is_covered:
+                controller._apply_sas_prediction(pred)
+
+    def _apply_sas_prediction(self, pred: float) -> None:
         """Apply a precomputed SAS arrival estimate (uncovered receiver)."""
-        self.predicted_arrival = float(pred)
+        self.predicted_arrival = pred
         if self.machine.state == ProtocolState.ALERT:
             self._evaluate_alert_membership()
 

@@ -11,7 +11,9 @@ The tables here are *bound* to the columns, so the scalar mirror path
 populating the arrays the kernels read.
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -25,9 +27,12 @@ from repro.core.arrival import (
 )
 from repro.core.estimation import EstimationColumns
 from repro.core.neighbors import NeighborInfo, NeighborTable
+from repro.core.pas import PASScheduler
 from repro.core.states import ProtocolState
 from repro.core.velocity import actual_velocity, expected_velocity, outward_velocity
+from repro.experiments.runner import default_scenario
 from repro.geometry.vec import Vec2
+from repro.world.builder import build_simulation
 from repro.world.state import WorldState
 
 NOW = 10.0
@@ -112,13 +117,20 @@ def build(n, positions, limit, records):
     return ws, est, tables, indptr, neighbour_ids
 
 
-def assert_vec_matches(scalar_vec, kx, ky, kn, label):
+def same_bits(a, b):
+    """Bit-level float equality: -0.0 differs from 0.0, NaN equals NaN."""
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def assert_mean_bits(scalar_vec, x, y, n, label):
+    """A kernel mean lane matches a scalar estimator bit for bit."""
     if scalar_vec is None:
-        assert kn == 0, label
+        assert n == 0, label
     else:
-        assert kn > 0, label
-        assert float(kx) == scalar_vec.x, label
-        assert float(ky) == scalar_vec.y, label
+        assert n > 0, label
+        assert same_bits(x, scalar_vec.x) and same_bits(y, scalar_vec.y), (
+            label, (x, y), scalar_vec
+        )
 
 
 @given(estimation_case())
@@ -170,20 +182,20 @@ def test_kernels_bit_identical_to_scalar(case):
         position = Vec2(*positions[r])
         informative_records = tables[r].informative_neighbors(NOW)
         covered_records = tables[r].covered_neighbors(NOW)
-        assert_vec_matches(
+        assert_mean_bits(
             expected_velocity(informative_records), vx[r], vy[r], vn[r], "expected"
         )
-        assert_vec_matches(
+        assert_mean_bits(
             expected_velocity(covered_records), cx[r], cy[r], cn[r], "covered-mean"
         )
         if own_detections[r] is None:
             assert bn[r] == 0 and fn[r] == 0
         else:
-            assert_vec_matches(
+            assert_mean_bits(
                 actual_velocity(position, own_detections[r], covered_records),
                 bx[r], by[r], bn[r], "actual",
             )
-            assert_vec_matches(
+            assert_mean_bits(
                 outward_velocity(position, own_detections[r], covered_records),
                 fx[r], fy[r], fn[r], "outward",
             )
@@ -200,6 +212,202 @@ def test_kernels_bit_identical_to_scalar(case):
                 fallback_speed=fallback,
             )
             assert sas[r] == scalar
+
+
+def assert_batch_kernels_match(est, tables, positions, own_detections, covered_rows):
+    """``pas_response_estimates`` / ``sas_response_estimates`` vs the scalar
+    estimators, receiver by receiver, for every row of the fleet."""
+    n = len(tables)
+    rows = np.arange(n, dtype=np.intp)
+    dets = np.array(
+        [np.nan if d is None else d for d in own_detections], dtype=float
+    )
+    for min_reports in (1, 2):
+        (bx, by, fx, fy, mx, my), (bn, fn, mn), arrival = est.pas_response_estimates(
+            rows, np.asarray(covered_rows, dtype=bool), dets, NOW,
+            min_reports=min_reports,
+        )
+        for r in range(n):
+            position = Vec2(*positions[r])
+            covered = tables[r].covered_neighbors(NOW)
+            informative = tables[r].informative_neighbors(NOW)
+            if own_detections[r] is None:
+                assert bn[r] == 0 and fn[r] == 0
+            else:
+                assert_mean_bits(
+                    actual_velocity(position, own_detections[r], covered),
+                    bx[r], by[r], bn[r], "actual",
+                )
+                assert_mean_bits(
+                    outward_velocity(position, own_detections[r], covered),
+                    fx[r], fy[r], fn[r], "outward",
+                )
+            assert_mean_bits(
+                expected_velocity(covered if covered_rows[r] else informative),
+                mx[r], my[r], mn[r], "mean",
+            )
+            assert same_bits(
+                arrival[r],
+                expected_arrival_time(
+                    position, informative, NOW, min_reports=min_reports
+                ),
+            )
+    sas = est.sas_response_estimates(rows, NOW)
+    for r in range(n):
+        assert same_bits(
+            sas[r],
+            sas_arrival_time(Vec2(*positions[r]), tables[r].covered_neighbors(NOW), NOW),
+        )
+
+
+@given(estimation_case(), st.lists(st.booleans(), min_size=5, max_size=5))
+@settings(max_examples=80, deadline=None)
+def test_batch_kernels_bit_identical_to_scalar(case, covered_draw):
+    n, positions, limit, records, own_detections = case
+    ws, est, tables, _, _ = build(n, positions, limit, records)
+    assert_batch_kernels_match(est, tables, positions, own_detections, covered_draw[:n])
+
+
+class TestBatchKernelEdgeCases:
+    """Explicit lanes the summation rewrite must get right."""
+
+    def _covered_report(self, node, x, y, detection, velocity=None):
+        return NeighborInfo(
+            node_id=node, position=Vec2(x, y), state=ProtocolState.COVERED,
+            velocity=velocity, detection_time=detection, report_time=NOW,
+        )
+
+    def test_all_negative_zero_contributions_sum_to_positive_zero(self):
+        # Receiver 0 sits at x = -0.0 and both neighbours at x = +0.0, so
+        # every backward x term is (-0.0 - 0.0) / elapsed = -0.0; their
+        # velocities are (-0.0, -0.0).  The scalar sums start at +0.0.
+        positions = [(-0.0, 0.0), (0.0, 3.0), (0.0, -4.0)]
+        minus_zero = Vec2(-0.0, -0.0)
+        records = [
+            (0, self._covered_report(1, 0.0, 3.0, 1.0, minus_zero)),
+            (0, self._covered_report(2, 0.0, -4.0, 2.0, minus_zero)),
+        ]
+        _, est, tables, _, _ = build(3, positions, None, records)
+        (bx, _, _, _, mx, my), (bn, _, mn), _ = est.pas_response_estimates(
+            np.array([0]), np.array([True]), np.array([5.0]), NOW
+        )
+        assert bn[0] == 2 and mn[0] == 2
+        for value in (bx[0], mx[0], my[0]):
+            assert same_bits(value, 0.0)
+        assert_batch_kernels_match(est, tables, positions, [5.0, None, None], [True] * 3)
+
+    def test_isolated_receivers_in_a_wider_batch(self):
+        # Node 2 has no neighbours; it shares a batch with node 0.
+        ws = WorldState([0, 1, 2], np.array([[0.0, 0.0], [1.0, 0.0], [9.0, 9.0]]))
+        indptr = np.array([0, 1, 2, 2], dtype=np.intp)
+        est = EstimationColumns(ws, indptr, np.array([1, 0], dtype=np.int64))
+        tables = [NeighborTable() for _ in range(3)]
+        for row, table in enumerate(tables):
+            table.bind_columns(est, row)
+        tables[0].update(
+            NeighborInfo(node_id=1, position=Vec2(1.0, 0.0),
+                         state=ProtocolState.ALERT, velocity=Vec2(-1.0, 0.0),
+                         predicted_arrival=12.0, report_time=NOW)
+        )
+        positions = [(0.0, 0.0), (1.0, 0.0), (9.0, 9.0)]
+        assert_batch_kernels_match(est, tables, positions, [None] * 3, [False, True, False])
+        _, (_, _, mn), arrival = est.pas_response_estimates(
+            np.array([2, 0]), np.array([False, False]), np.full(2, np.nan), NOW
+        )
+        assert mn == [0.0, 1.0] and arrival == [math.inf, 13.0]
+        # The per-quantity kernels pad the same way.
+        rows = np.array([2, 0])
+        pad = est.padded(rows)
+        assert pad[1].tolist() == [[False], [True]]
+        informative = est.informative_mask(pad, NOW)
+        assert est.expected_arrival_time_many(rows, pad, informative, NOW).tolist() == [
+            math.inf, 13.0
+        ]
+        assert est.expected_velocity_many(pad, informative)[2].tolist() == [0.0, 1.0]
+        covered = est.covered_mask(pad, NOW)
+        assert not covered.any()
+        assert est.sas_arrival_time_many(rows, pad, covered, NOW).tolist() == [
+            math.inf, math.inf
+        ]
+
+    def test_zero_width_batch(self):
+        # No edges at all: the padded slot matrix has width 0, where an
+        # accumulate-then-take-last would fail.
+        ws = WorldState([0, 1], np.zeros((2, 2)))
+        est = EstimationColumns(
+            ws, np.zeros(3, dtype=np.intp), np.array([], dtype=np.int64)
+        )
+        rows = np.array([0, 1])
+        means, counts, arrival = est.pas_response_estimates(
+            rows, np.array([True, False]), np.array([1.0, np.nan]), NOW
+        )
+        assert means == [[0.0, 0.0]] * 6
+        assert counts == [[0.0, 0.0]] * 3
+        assert arrival == [math.inf, math.inf]
+        assert est.sas_response_estimates(rows, NOW) == [math.inf, math.inf]
+
+    def test_mixed_batch_with_nan_detection_times(self):
+        # Four receivers around a covered core: covered with and without an
+        # own detection time, alert and safe, estimated in one batch.
+        positions = [(0.0, 0.0), (2.0, 0.0), (4.0, 1.0), (6.0, -1.0)]
+        records = []
+        for receiver in range(4):
+            for neighbour in range(4):
+                if neighbour == receiver:
+                    continue
+                x, y = positions[neighbour]
+                records.append(
+                    (receiver, self._covered_report(
+                        neighbour, x, y, float(neighbour), Vec2(1.0, 0.25)
+                    ))
+                )
+        _, est, tables, _, _ = build(4, positions, STALENESS, records)
+        own = [0.5, None, 2.5, None]
+        assert_batch_kernels_match(est, tables, positions, own, [True, True, False, False])
+        _, (bn, fn, _), _ = est.pas_response_estimates(
+            np.arange(4), np.array([True, True, False, False]),
+            np.array([0.5, np.nan, 2.5, np.nan]), NOW,
+        )
+        assert bn[0] == 0 and fn[0] == 3  # detected before every neighbour
+        assert bn[1] == fn[1] == 0  # no own detection time: no finite difference
+        assert bn[2] == 2 and fn[2] == 1
+
+
+class TestWorldLifetime:
+    """A finished batched+columnar world must be collectable.
+
+    The controllers and their ``EstimationColumns`` point at each other; the
+    cycle is only collectable when every link is visible to the cyclic GC.
+    """
+
+    def _refs(self, simulation):
+        est = simulation._estimation
+        assert est is not None
+        controller = next(iter(simulation.controllers.values()))
+        return weakref.ref(est), weakref.ref(controller)
+
+    def _assert_collected(self, refs):
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+
+    def test_built_world_is_collected(self):
+        scenario = default_scenario(seed=3, duration=10.0)
+        simulation = build_simulation(
+            scenario, PASScheduler(), engine="batched", estimation="columnar"
+        )
+        refs = self._refs(simulation)
+        del simulation
+        self._assert_collected(refs)
+
+    def test_run_world_is_collected(self):
+        scenario = default_scenario(seed=3, duration=10.0)
+        simulation = build_simulation(
+            scenario, PASScheduler(), engine="batched", estimation="columnar"
+        )
+        refs = self._refs(simulation)
+        simulation.run()
+        del simulation
+        self._assert_collected(refs)
 
 
 class TestColumnMirror:
