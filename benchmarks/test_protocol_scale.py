@@ -9,9 +9,10 @@ engine's advantage on exactly that message path:
 * ``test_message_path_speedup_5000_nodes`` drives an identical REQUEST/
   RESPONSE-sized broadcast wave (every node transmits once to its
   neighbourhood) through the scalar ``BroadcastMedium`` and the columnar
-  ``BatchMedium`` (+ ``CalendarQueue``) over the same deployments, asserts
-  delivery-count parity, and requires the batched path to be >= 5x faster
-  at 5,000 nodes.  It records a speedup *trajectory* over fleet sizes in a
+  ``BatchMedium`` over the same deployments, both on a plain
+  ``Simulator()`` (one binary-heap event core), asserts delivery-count
+  parity, and requires the batched path to be >= 5x faster at 5,000
+  nodes.  It records a speedup *trajectory* over fleet sizes in a
   ``BENCH_protocol.json`` artifact.
 * ``test_batched_end_to_end_run_matches_and_wins`` runs a full PAS scenario
   under both engines, re-asserting summary bit-identity at benchmark scale
@@ -33,7 +34,7 @@ import numpy as np
 import pytest
 
 from repro.core.pas import PASScheduler
-from repro.engine import BatchMedium, CalendarQueue
+from repro.engine import BatchMedium
 from repro.geometry.deployment import DeploymentConfig, make_deployment
 from repro.geometry.vec import Vec2
 from repro.network.medium import BroadcastMedium
@@ -68,8 +69,8 @@ def _build_world(num_nodes, batched, seed=0):
     nodes = {i: SensorNode(i, Vec2(float(x), float(y))) for i, (x, y) in enumerate(positions)}
     topology = Topology(positions, _TX_RANGE)
     delivered = [0]
+    sim = Simulator()
     if batched:
-        sim = Simulator(queue=CalendarQueue(num_buckets=2 * num_nodes))
         medium = BatchMedium(sim, topology, nodes)
         world_state = WorldState(list(nodes), positions)
         for node in nodes.values():
@@ -80,7 +81,6 @@ def _build_world(num_nodes, batched, seed=0):
             lambda ids, msg: delivered.__setitem__(0, delivered[0] + ids.size)
         )
     else:
-        sim = Simulator()
         medium = BroadcastMedium(sim, topology, nodes)
         handler = lambda rid, msg: delivered.__setitem__(0, delivered[0] + 1)  # noqa: E731
         for node_id in nodes:

@@ -136,8 +136,8 @@ def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
         choices=list(ENGINES),
         help=(
             "simulation engine: 'scalar' reference path or 'batched' "
-            "calendar-queue + columnar message bus (bit-identical results, "
-            "much faster at large fleet sizes)"
+            "columnar message bus (bit-identical results, much faster at "
+            "large fleet sizes)"
         ),
     )
 

@@ -1,26 +1,22 @@
-"""Batched protocol engine: calendar-queue event core + columnar message bus.
+"""Batched protocol engine: the columnar message bus.
 
 This package is the large-fleet fast path for protocol-heavy PAS/SAS runs:
+:class:`~repro.engine.bus.BatchMedium` is a broadcast medium that coalesces
+each sender's fan-out into vectorised operations over the columnar
+:class:`~repro.world.state.WorldState` and delivers same-tick arrivals as
+per-receiver arrays to batch-aware controllers
+(:meth:`~repro.core.controller.NodeController.handle_batch`).  Both engines
+share one event core, the binary-heap :class:`~repro.sim.events.EventQueue`.
 
-* :class:`~repro.engine.calendar.CalendarQueue` -- an array-backed bucketed
-  event queue with O(1) amortized push/pop under per-tick traffic bursts,
-  selectable via ``Simulator(queue=...)``;
-* :class:`~repro.engine.bus.BatchMedium` -- a broadcast medium that coalesces
-  each sender's fan-out into vectorised operations over the columnar
-  :class:`~repro.world.state.WorldState` and delivers same-tick arrivals as
-  per-receiver arrays to batch-aware controllers
-  (:meth:`~repro.core.controller.NodeController.handle_batch`).
-
-Both components are bit-identity preserving: a seeded run produces the same
+The bus is bit-identity preserving: a seeded run produces the same
 :class:`~repro.metrics.summary.RunSummary` JSON whether it executes on the
 scalar reference engine or the batched one (``repro.world.builder`` selects
 between them via its ``engine`` parameter; the CLI exposes ``--engine``).
 """
 
 from repro.engine.bus import BatchMedium
-from repro.engine.calendar import CalendarQueue
 
 #: Engine names accepted by ``build_simulation(..., engine=...)`` and the CLI.
 ENGINES = ("scalar", "batched")
 
-__all__ = ["BatchMedium", "CalendarQueue", "ENGINES"]
+__all__ = ["BatchMedium", "ENGINES"]

@@ -1,279 +1,13 @@
-"""Array-backed calendar event queue: the batched engine's fast event core.
+"""Import-compatibility alias for the retired calendar event queue.
 
-The binary-heap :class:`~repro.sim.events.EventQueue` costs ``O(log n)`` per
-operation and, more importantly at protocol scale, keeps every pending event
-in one comparison-heavy heap.  Protocol-dense runs (PAS/SAS REQUEST/RESPONSE
-fan-out at 5k--10k nodes) push and pop large bursts of events clustered
-around a few nearby timestamps; a *calendar queue* (R. Brown, CACM 1988)
-exploits exactly that access pattern for ``O(1)`` amortized push/pop.
-
-Layout
-------
-Time is divided into fixed-width buckets laid out circularly, like the days
-of a desk calendar: an event at time ``t`` lives in bucket
-``int(t / width) % num_buckets``.  Popping scans forward from the bucket
-containing the last-popped time ("today"), one bucket-width window at a
-time; each window maps to exactly one bucket, so scanning windows in time
-order visits event timestamps in nondecreasing order.  If one full lap finds
-nothing (all events far in the future), a direct search over bucket minima
-locates the next event.  The bucket count doubles/halves with occupancy and
-the width is re-estimated from the event spread at each resize, keeping a
-handful of events per bucket.
-
-Ordering contract
------------------
-Pops come out in exactly the heap queue's total order ``(time, priority,
-sequence)``: events are the same :class:`~repro.sim.events.Event` objects,
-sequence numbers come from an identical per-queue counter, and each bucket
-is itself a small heap of events, so intra-timestamp FIFO tie-breaking is
-preserved bit for bit.  ``tests/test_engine_calendar.py`` property-tests the
-pop sequence against the binary heap under random push/cancel workloads;
-:class:`~repro.sim.engine.Simulator` accepts either implementation via its
-``queue`` parameter.
-
-Cancellation is lazy, as in the heap queue: cancelled events stay in their
-bucket and are discarded when they surface.
+The batched engine now runs on the same binary-heap
+:class:`~repro.sim.events.EventQueue` as the scalar engine.  This alias
+exists only for the benchmark's ``calendar.push`` / ``calendar.pop`` spans,
+which import ``repro.engine.calendar.CalendarQueue``; through it they wrap
+``EventQueue`` itself.  A later benchmark change retargets those spans at
+``EventQueue`` and deletes this module.
 """
 
-from __future__ import annotations
+from repro.sim.events import EventQueue
 
-import heapq
-import itertools
-from typing import Any, Callable, Iterator, List, Optional, Tuple
-
-from repro.sim.events import DEFAULT_PRIORITY, Event
-
-#: Bucket-count bounds: never fewer than 16 buckets (tiny queues gain nothing
-#: from resizing) and never more than ~1M (a safety valve against runaway
-#: growth if occupancy estimates go wrong).
-_MIN_BUCKETS = 16
-_MAX_BUCKETS = 1 << 20
-
-
-class CalendarQueue:
-    """Bucketed event queue, drop-in compatible with ``EventQueue``.
-
-    Parameters
-    ----------
-    bucket_width:
-        Initial seconds-per-bucket.  Re-estimated automatically at every
-        resize, so the initial value only matters before the first resize.
-    num_buckets:
-        Initial bucket count (clamped to at least 16).
-
-    Examples
-    --------
-    >>> from repro.sim.engine import Simulator
-    >>> sim = Simulator(queue=CalendarQueue())
-    >>> fired = []
-    >>> _ = sim.schedule_at(2.0, lambda: fired.append(sim.now))
-    >>> sim.run()
-    >>> fired
-    [2.0]
-    """
-
-    def __init__(self, *, bucket_width: float = 1.0, num_buckets: int = 16) -> None:
-        if bucket_width <= 0:
-            raise ValueError("bucket_width must be positive")
-        if num_buckets < 1:
-            raise ValueError("num_buckets must be positive")
-        self._width = float(bucket_width)
-        self._nbuckets = max(int(num_buckets), _MIN_BUCKETS)
-        self._buckets: List[List[Event]] = [[] for _ in range(self._nbuckets)]
-        #: identical counter semantics to EventQueue: sequence numbers start
-        #: at 0 and increase by one per push, making (time, priority, seq)
-        #: a total order shared with the heap implementation
-        self._counter = itertools.count()
-        self._live = 0
-        #: entries physically present (live + lazily-cancelled); drives resizes
-        self._total = 0
-        #: virtual clock: time of the last popped event (never ahead of any
-        #: live event -- pushes below it pull it back)
-        self._last_time = 0.0
-        #: cached result of the last _locate(): (bucket_index, event)
-        self._peeked: Optional[Tuple[int, Event]] = None
-
-    # -------------------------------------------------------------- protocol
-    def __len__(self) -> int:
-        """Number of *live* (non-cancelled) events."""
-        return self._live
-
-    def __bool__(self) -> bool:
-        return self._live > 0
-
-    def push(
-        self,
-        time: float,
-        callback: Callable[[], Any],
-        *,
-        priority: int = DEFAULT_PRIORITY,
-        name: str = "",
-    ) -> Event:
-        """Insert a new event and return the underlying entry."""
-        if time < 0:
-            raise ValueError(f"event time must be non-negative, got {time}")
-        event = Event(
-            time=float(time),
-            priority=priority,
-            sequence=next(self._counter),
-            callback=callback,
-            name=name,
-        )
-        self._insert(event)
-        self._live += 1
-        self._total += 1
-        if event.time < self._last_time:
-            # An event landed behind the virtual clock (possible when the
-            # queue is used standalone); pull the clock back so the forward
-            # scan cannot step over it.
-            self._last_time = event.time
-        if self._peeked is not None and event < self._peeked[1]:
-            self._peeked = None
-        if self._total > 2 * self._nbuckets and self._nbuckets < _MAX_BUCKETS:
-            self._resize(self._nbuckets * 2)
-        return event
-
-    def pop(self) -> Event:
-        """Remove and return the earliest live event.
-
-        Raises
-        ------
-        IndexError
-            If the queue contains no live events.
-        """
-        located = self._locate()
-        if located is None:
-            raise IndexError("pop from an empty CalendarQueue")
-        index, event = located
-        popped = heapq.heappop(self._buckets[index])
-        assert popped is event, "calendar bucket head changed between locate and pop"
-        self._peeked = None
-        self._live -= 1
-        self._total -= 1
-        self._last_time = event.time
-        if self._total < self._nbuckets // 2 and self._nbuckets > _MIN_BUCKETS:
-            self._resize(self._nbuckets // 2)
-        return event
-
-    def peek_time(self) -> Optional[float]:
-        """Return the firing time of the next live event, or ``None``."""
-        located = self._locate()
-        return None if located is None else located[1].time
-
-    def note_cancelled(self) -> None:
-        """Inform the queue that one previously-pushed event was cancelled.
-
-        Mirrors ``EventQueue.note_cancelled``: keeps ``len()`` reflecting
-        live events; the entry itself is discarded lazily when it surfaces.
-        """
-        if self._live > 0:
-            self._live -= 1
-        if self._peeked is not None and self._peeked[1].cancelled:
-            self._peeked = None
-
-    def clear(self) -> None:
-        """Drop every pending event (the sequence counter keeps running)."""
-        self._buckets = [[] for _ in range(self._nbuckets)]
-        self._live = 0
-        self._total = 0
-        self._peeked = None
-
-    def iter_pending(self) -> Iterator[Event]:
-        """Yield live events in bucket (not chronological) order.
-
-        Intended for diagnostics and tests only.
-        """
-        return (
-            event
-            for bucket in self._buckets
-            for event in bucket
-            if not event.cancelled
-        )
-
-    # -------------------------------------------------------------- internals
-    def _insert(self, event: Event) -> None:
-        index = int(event.time / self._width) % self._nbuckets
-        heapq.heappush(self._buckets[index], event)
-
-    def _prune(self, bucket: List[Event]) -> None:
-        """Discard lazily-cancelled events sitting at a bucket's head."""
-        while bucket and bucket[0].cancelled:
-            heapq.heappop(bucket)
-            self._total -= 1
-
-    def _locate(self) -> Optional[Tuple[int, Event]]:
-        """Find (without removing) the bucket and entry of the next live event."""
-        if self._peeked is not None:
-            if not self._peeked[1].cancelled:
-                return self._peeked
-            self._peeked = None
-        # Keyed on physical entries, not the live count: like the heap
-        # queue, peek/pop must still surface events even if spurious
-        # note_cancelled calls (cancelling an already-fired handle) have
-        # driven the live count below the true number of pending events.
-        if self._total == 0:
-            return None
-        width = self._width
-        count = self._nbuckets
-        start = int(self._last_time / width)
-        # One lap over the calendar: window k covers [ (start+k)w, (start+k+1)w )
-        # and maps to exactly one bucket, so windows are visited in time order.
-        for offset in range(count):
-            bucket = self._buckets[(start + offset) % count]
-            self._prune(bucket)
-            if bucket and bucket[0].time < (start + offset + 1) * width:
-                self._peeked = ((start + offset) % count, bucket[0])
-                return self._peeked
-        # Everything lives more than a full lap ahead: direct search over the
-        # bucket minima (O(num_buckets), amortized away by the resize policy).
-        best: Optional[Event] = None
-        best_index = -1
-        for index, bucket in enumerate(self._buckets):
-            self._prune(bucket)
-            if bucket and (best is None or bucket[0] < best):
-                best = bucket[0]
-                best_index = index
-        if best is None:  # only lazily-cancelled entries remained
-            return None
-        self._peeked = (best_index, best)
-        return self._peeked
-
-    def _resize(self, num_buckets: int) -> None:
-        """Rebuild the calendar with ``num_buckets`` buckets and a fresh width."""
-        num_buckets = max(_MIN_BUCKETS, min(int(num_buckets), _MAX_BUCKETS))
-        events = [
-            event
-            for bucket in self._buckets
-            for event in bucket
-            if not event.cancelled
-        ]
-        self._width = self._estimate_width(events)
-        self._nbuckets = num_buckets
-        self._buckets = [[] for _ in range(num_buckets)]
-        self._total = len(events)
-        self._peeked = None
-        for event in events:
-            self._insert(event)
-
-    def _estimate_width(self, events: List[Event]) -> float:
-        """Seconds-per-bucket so the live events spread over a few buckets each.
-
-        Brown's estimate is a small multiple of the mean inter-event gap; the
-        spread divided by the count approximates that gap without sorting.
-        Bursts of identical timestamps (the protocol-tick pattern) all land
-        in one bucket regardless of width, which is exactly what makes the
-        in-bucket heap cheap to pop repeatedly.
-        """
-        if len(events) < 2:
-            return self._width
-        t_min = min(event.time for event in events)
-        t_max = max(event.time for event in events)
-        if t_max <= t_min:
-            return self._width
-        return max(3.0 * (t_max - t_min) / len(events), 1e-9)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CalendarQueue(live={self._live}, buckets={self._nbuckets}, "
-            f"width={self._width:.6g})"
-        )
+CalendarQueue = EventQueue

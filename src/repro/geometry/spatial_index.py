@@ -83,8 +83,11 @@ class GridIndex:
         d2 = np.sum((self._points[cand] - np.array([cx, cy])) ** 2, axis=1)
         return cand[d2 <= radius * radius + 1e-12]
 
-    def query_pairs(self, radius: float) -> List[Tuple[int, int]]:
-        """All unordered index pairs ``(i, j)``, ``i < j``, within ``radius``.
+    def query_pairs(self, radius: float) -> Tuple[np.ndarray, np.ndarray]:
+        """All unordered index pairs within ``radius``, as two int arrays.
+
+        Returns ``(first, second)`` with ``first[k] < second[k]`` for every
+        pair ``k``.
 
         Single sweep over the hash cells: every unordered *bucket* pair in
         reach is visited exactly once (half-neighbourhood offsets), and the
@@ -92,7 +95,7 @@ class GridIndex:
         vectorised NumPy expression.  This replaces the previous
         one-``query_radius``-per-point construction (N hash probes, N Python
         loops) with work proportional to the number of occupied cell pairs.
-        Results are sorted ``(i, j)`` ascending, matching the old ordering.
+        Pairs are sorted ``(i, j)`` ascending.
         """
         if radius < 0:
             raise ValueError("radius must be non-negative")
@@ -130,13 +133,13 @@ class GridIndex:
                     out_i.append(a[ii])
                     out_j.append(b[jj])
         if not out_i:
-            return []
+            return np.empty(0, dtype=int), np.empty(0, dtype=int)
         first = np.concatenate(out_i)
         second = np.concatenate(out_j)
         lo = np.minimum(first, second)
         hi = np.maximum(first, second)
         order = np.lexsort((hi, lo))
-        return list(zip(lo[order].tolist(), hi[order].tolist()))
+        return lo[order], hi[order]
 
     def nearest(self, center: Sequence[float]) -> int:
         """Index of the point nearest to ``center`` (brute force fallback).

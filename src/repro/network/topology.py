@@ -2,7 +2,7 @@
 
 The paper's evaluation uses 30 nodes with a 10 m transmission range; two
 nodes can talk iff their distance is at most the range (the classic unit-disk
-model).  ``Topology`` builds the neighbour tables once from positions using
+model).  ``Topology`` builds a CSR neighbour table once from positions using
 the spatial hash and exposes connectivity queries used by the schedulers and
 the analysis code.
 """
@@ -36,31 +36,30 @@ class Topology:
         self.positions = positions
         self.transmission_range = float(transmission_range)
         self._index = GridIndex(positions, cell_size=transmission_range)
-        # One query_pairs sweep yields the neighbour tables, the edge list and
-        # the per-link distances together (instead of N query_radius calls and
-        # an np.hypot per neighbour per broadcast later).
-        pairs = self._index.query_pairs(transmission_range)
-        adjacency: List[List[int]] = [[] for _ in range(len(positions))]
-        for i, j in pairs:
-            adjacency[i].append(j)
-            adjacency[j].append(i)
-        self._neighbours: Dict[int, Tuple[int, ...]] = {
-            node_id: tuple(sorted(neigh)) for node_id, neigh in enumerate(adjacency)
-        }
-        self._edges: List[Tuple[int, int]] = pairs
-        if pairs:
-            pair_arr = np.asarray(pairs, dtype=int)
-            deltas = positions[pair_arr[:, 0]] - positions[pair_arr[:, 1]]
-            # Elementwise np.hypot: the same ufunc the old per-broadcast
-            # scalar computation applied, so cached distances are bit-equal.
-            dists = np.hypot(deltas[:, 0], deltas[:, 1])
-            self._link_distance: Dict[Tuple[int, int], float] = {
-                (int(i), int(j)): float(d) for (i, j), d in zip(pairs, dists)
-            }
-        else:
-            self._link_distance = {}
-        #: lazily-built CSR neighbour arrays (see :meth:`neighbour_table`)
-        self._csr: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        # One pair sweep yields the edge list and the per-link distances; the
+        # CSR neighbour table is built from them with NumPy.  The per-node
+        # tuple and per-link dict views the scalar paths query are built on
+        # first use (see :meth:`_neighbour_tuples`, :meth:`_link_distances`).
+        lo, hi = self._index.query_pairs(transmission_range)
+        deltas = positions[lo] - positions[hi]
+        # Elementwise np.hypot over the i < j deltas: the same ufunc
+        # :meth:`distance` applies, so link distances are bit-equal to it.
+        dists = np.hypot(deltas[:, 0], deltas[:, 1])
+        self._pairs = (lo, hi, dists)
+        # Directed edge list (both orientations), sorted by (source, target):
+        # row i of the CSR holds i's neighbours ascending by id.
+        src = np.concatenate((lo, hi))
+        dst = np.concatenate((hi, lo))
+        order = np.lexsort((dst, src))
+        indptr = np.zeros(len(positions) + 1, dtype=np.intp)
+        np.cumsum(np.bincount(src, minlength=len(positions)), out=indptr[1:])
+        self._csr: Tuple[np.ndarray, np.ndarray, np.ndarray] = (
+            indptr,
+            dst[order].astype(np.int64, copy=False),
+            np.concatenate((dists, dists))[order],
+        )
+        self._neighbours: Optional[Dict[int, Tuple[int, ...]]] = None
+        self._link_distance: Optional[Dict[Tuple[int, int], float]] = None
 
     # ------------------------------------------------------------------ info
     @property
@@ -71,7 +70,7 @@ class Topology:
     def neighbours(self, node_id: int) -> Tuple[int, ...]:
         """Node ids within transmission range of ``node_id`` (sorted, excludes self)."""
         self._check_id(node_id)
-        return self._neighbours[node_id]
+        return self._neighbour_tuples()[node_id]
 
     def degree(self, node_id: int) -> int:
         """Number of neighbours of ``node_id``."""
@@ -81,7 +80,7 @@ class Topology:
         """Mean neighbour count over all nodes (0 for an empty topology)."""
         if self.num_nodes == 0:
             return 0.0
-        return sum(len(v) for v in self._neighbours.values()) / self.num_nodes
+        return 2 * len(self._pairs[0]) / self.num_nodes
 
     def distance(self, a: int, b: int) -> float:
         """Euclidean distance between nodes ``a`` and ``b``."""
@@ -96,14 +95,14 @@ class Topology:
         falls back to :meth:`distance` for pairs that are not links.
         """
         key = (a, b) if a < b else (b, a)
-        cached = self._link_distance.get(key)
+        cached = self._link_distances().get(key)
         if cached is not None:
             return cached
         return self.distance(a, b)
 
     def are_connected(self, a: int, b: int) -> bool:
         """True if ``a`` and ``b`` are within transmission range (and distinct)."""
-        return b in self._neighbours.get(a, ()) if a != b else False
+        return b in self._neighbour_tuples().get(a, ()) if a != b else False
 
     def neighbour_table(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """CSR-style neighbour arrays ``(indptr, neighbour_ids, distances)``.
@@ -112,37 +111,24 @@ class Topology:
         ``neighbour_ids[indptr[i]:indptr[i + 1]]`` with the matching cached
         link distances (bit-equal to :meth:`link_distance`) alongside.  This
         is the batched message bus's fan-out table: one slice per broadcast
-        instead of a per-neighbour Python loop.  Built lazily once and
-        cached; the topology is immutable.
+        instead of a per-neighbour Python loop.  Built once at construction;
+        the topology is immutable.
         """
-        if self._csr is None:
-            n = self.num_nodes
-            indptr = np.zeros(n + 1, dtype=np.intp)
-            for node_id in range(n):
-                indptr[node_id + 1] = indptr[node_id] + len(self._neighbours[node_id])
-            total = int(indptr[-1])
-            neighbour_ids = np.empty(total, dtype=np.int64)
-            distances = np.empty(total, dtype=float)
-            cursor = 0
-            for node_id in range(n):
-                for neighbour_id in self._neighbours[node_id]:
-                    neighbour_ids[cursor] = neighbour_id
-                    distances[cursor] = self.link_distance(node_id, neighbour_id)
-                    cursor += 1
-            self._csr = (indptr, neighbour_ids, distances)
         return self._csr
 
     def edges(self) -> List[Tuple[int, int]]:
         """All unordered communication links ``(i, j)`` with ``i < j``.
 
-        Derived from the same ``query_pairs`` pass that built the neighbour
-        tables; returned as a copy so callers cannot mutate the topology.
+        Derived from the same pair sweep that built the neighbour table;
+        a fresh list on every call, so callers cannot mutate the topology.
         """
-        return list(self._edges)
+        lo, hi, _ = self._pairs
+        return list(zip(lo.tolist(), hi.tolist()))
 
     # ---------------------------------------------------------- connectivity
     def connected_components(self) -> List[Set[int]]:
         """Connected components of the communication graph (BFS)."""
+        neighbours = self._neighbour_tuples()
         unvisited = set(range(self.num_nodes))
         components: List[Set[int]] = []
         while unvisited:
@@ -152,7 +138,7 @@ class Topology:
             unvisited.discard(start)
             while frontier:
                 current = frontier.pop()
-                for neighbour in self._neighbours[current]:
+                for neighbour in neighbours[current]:
                     if neighbour in unvisited:
                         unvisited.discard(neighbour)
                         component.add(neighbour)
@@ -171,6 +157,27 @@ class Topology:
         return self._index.query_radius(point, radius)
 
     # -------------------------------------------------------------- internal
+    def _neighbour_tuples(self) -> Dict[int, Tuple[int, ...]]:
+        """``node_id -> sorted neighbour ids``, built from the CSR on first use."""
+        if self._neighbours is None:
+            indptr, neighbour_ids, _ = self._csr
+            bounds = indptr.tolist()
+            ids = neighbour_ids.tolist()
+            self._neighbours = {
+                node_id: tuple(ids[bounds[node_id] : bounds[node_id + 1]])
+                for node_id in range(self.num_nodes)
+            }
+        return self._neighbours
+
+    def _link_distances(self) -> Dict[Tuple[int, int], float]:
+        """``(i, j) -> distance`` for every link ``i < j``, built on first use."""
+        if self._link_distance is None:
+            lo, hi, dists = self._pairs
+            self._link_distance = {
+                (i, j): d for i, j, d in zip(lo.tolist(), hi.tolist(), dists.tolist())
+            }
+        return self._link_distance
+
     def _check_id(self, node_id: int) -> None:
         if not 0 <= node_id < self.num_nodes:
             raise KeyError(f"node id {node_id} out of range [0, {self.num_nodes})")

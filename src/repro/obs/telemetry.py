@@ -22,7 +22,7 @@ The hook points threaded through the simulator use a fixed vocabulary so
 profiles are comparable across engines and runs:
 
 ``event_pop``
-    Pulling the next event out of the queue (heap or calendar).
+    Pulling the next event out of the binary-heap event queue.
 ``event:<kind>``
     Executing one event callback, keyed by the event-name kind
     (``arrival``, ``wake``, ``deliver``, ``deliver-batch``, ...).  Nested

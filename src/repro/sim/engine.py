@@ -58,13 +58,9 @@ class Simulator:
     ----------
     start_time:
         Initial clock value in seconds (default ``0.0``).
-    queue:
-        Event-queue implementation (default: the binary-heap
-        :class:`~repro.sim.events.EventQueue`).  Any object implementing the
-        same interface (``push``/``pop``/``peek_time``/``note_cancelled``/
-        ``clear``/``__len__``) and the same ``(time, priority, sequence)``
-        total order works; :class:`~repro.engine.calendar.CalendarQueue` is
-        the array-backed fast path for protocol-dense large fleets.
+
+    Events live in one binary-heap :class:`~repro.sim.events.EventQueue`,
+    the event core of both the scalar and the batched engine.
 
     Examples
     --------
@@ -77,13 +73,11 @@ class Simulator:
     [1.0, 2.0]
     """
 
-    def __init__(
-        self, start_time: float = 0.0, *, queue: Optional[EventQueue] = None
-    ) -> None:
+    def __init__(self, start_time: float = 0.0) -> None:
         if start_time < 0:
             raise ValueError("start_time must be non-negative")
         self._now = float(start_time)
-        self._queue = queue if queue is not None else EventQueue()
+        self._queue = EventQueue()
         self._running = False
         self._stopped = False
         self._events_processed = 0

@@ -8,6 +8,13 @@ scheduled unless an explicit priority says otherwise.
 Cancellation is *lazy*: cancelled events stay in the heap but are skipped when
 popped.  This is the standard technique for binary-heap based schedulers where
 arbitrary removal would be ``O(n)``.
+
+:class:`EventQueue` is the simulator's single event core, on both the scalar
+and the batched engine.  Its heap holds ``(time, priority, sequence, event)``
+tuples rather than the events themselves, so every heap comparison is a
+C-level tuple comparison; ``sequence`` is unique, so the trailing event is
+never compared and the pop order is exactly the ``(time, priority,
+sequence)`` order of :class:`Event`.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional, Tuple
 
 
 #: Default priority used when the caller does not care about intra-timestamp
@@ -103,7 +110,8 @@ class EventQueue:
     """
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        #: ``(time, priority, sequence, event)`` entries; see the module notes
+        self._heap: list[Tuple[float, int, int, Event]] = []
         self._counter = itertools.count()
         self._live = 0
 
@@ -125,14 +133,10 @@ class EventQueue:
         """Insert a new event and return the underlying entry."""
         if time < 0:
             raise ValueError(f"event time must be non-negative, got {time}")
-        event = Event(
-            time=float(time),
-            priority=priority,
-            sequence=next(self._counter),
-            callback=callback,
-            name=name,
-        )
-        heapq.heappush(self._heap, event)
+        time = float(time)
+        sequence = next(self._counter)
+        event = Event(time, priority, sequence, callback, name)
+        heapq.heappush(self._heap, (time, priority, sequence, event))
         self._live += 1
         return event
 
@@ -144,8 +148,9 @@ class EventQueue:
         IndexError
             If the queue contains no live events.
         """
-        while self._heap:
-            event = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            event = heapq.heappop(heap)[3]
             if event.cancelled:
                 continue
             self._live -= 1
@@ -154,11 +159,10 @@ class EventQueue:
 
     def peek_time(self) -> Optional[float]:
         """Return the firing time of the next live event, or ``None``."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        if not self._heap:
-            return None
-        return self._heap[0].time
+        heap = self._heap
+        while heap and heap[0][3].cancelled:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
 
     def note_cancelled(self) -> None:
         """Inform the queue that one previously-pushed event was cancelled.
@@ -179,4 +183,4 @@ class EventQueue:
 
         Intended for diagnostics and tests only.
         """
-        return (event for event in self._heap if not event.cancelled)
+        return (entry[3] for entry in self._heap if not entry[3].cancelled)

@@ -8,7 +8,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.core.scheduler_base import SleepScheduler
-from repro.engine import ENGINES, BatchMedium, CalendarQueue
+from repro.engine import ENGINES, BatchMedium
 from repro.faults.failure import NodeFailureInjector
 from repro.geometry.deployment import make_deployment
 from repro.geometry.vec import Vec2
@@ -104,11 +104,11 @@ def build_simulation(
     stimulus and fault schedule regardless of the scheduler, which is what
     makes the PAS / SAS / NS comparison in the figures apples-to-apples.
 
-    ``engine`` selects the execution substrate: ``"scalar"`` is the
-    reference path (binary-heap event queue, per-receiver broadcast loop);
-    ``"batched"`` swaps in the calendar-queue event core and the columnar
-    message bus from :mod:`repro.engine`.  Seeded results are bit-identical
-    either way -- the engine is a speed knob, not a model change.
+    ``engine`` selects the message path: ``"scalar"`` is the reference
+    per-receiver broadcast loop; ``"batched"`` swaps in the columnar message
+    bus from :mod:`repro.engine`.  Both run on the same binary-heap event
+    core.  Seeded results are bit-identical either way -- the engine is a
+    speed knob, not a model change.
 
     ``estimation`` selects the controller-estimation path on the batched
     engine: ``"columnar"`` (default) answers whole REQUEST/RESPONSE batches
@@ -130,13 +130,10 @@ def build_simulation(
         i: SensorNode(i, Vec2(float(x), float(y))) for i, (x, y) in enumerate(positions)
     }
     topology = Topology(positions, scenario.transmission_range)
+    sim = Simulator()
     if engine == "batched":
-        # Bucket-count hint: protocol storms keep O(n) events in flight, so
-        # starting near the fleet size avoids the initial growth resizes.
-        sim = Simulator(queue=CalendarQueue(num_buckets=2 * len(nodes)))
         medium: BroadcastMedium = BatchMedium(sim, topology, nodes, channel=channel)
     else:
-        sim = Simulator()
         medium = BroadcastMedium(sim, topology, nodes, channel=channel)
     duration = scenario.effective_duration()
 

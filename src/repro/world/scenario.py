@@ -140,8 +140,14 @@ class ScenarioConfig:
     label: str = ""
 
     def __post_init__(self) -> None:
+        # Non-finite values are rejected here: an infinite duration never
+        # ends, and NaN slips past every ``<= 0`` check.
+        if not math.isfinite(self.transmission_range):
+            raise ValueError("transmission_range must be finite")
         if self.transmission_range <= 0:
             raise ValueError("transmission_range must be positive")
+        if self.duration is not None and not math.isfinite(self.duration):
+            raise ValueError("duration must be finite when given")
         if self.duration is not None and self.duration <= 0:
             raise ValueError("duration must be positive when given")
         if self.sensing_noise is not None:

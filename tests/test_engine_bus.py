@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro.engine.bus import BatchMedium
-from repro.engine.calendar import CalendarQueue
 from repro.geometry.vec import Vec2
 from repro.network.channel import LossyChannel, PerfectChannel
 from repro.network.medium import BroadcastMedium
@@ -25,7 +24,7 @@ LINE_POSITIONS = [(0.0, 0.0), (5.0, 0.0), (10.0, 0.0), (15.0, 0.0), (20.0, 0.0)]
 
 
 def _make_world(medium_cls, *, channel=None, positions=LINE_POSITIONS, rng_range=6.0):
-    sim = Simulator(queue=CalendarQueue()) if medium_cls is BatchMedium else Simulator()
+    sim = Simulator()
     nodes = {i: SensorNode(i, Vec2(x, y)) for i, (x, y) in enumerate(positions)}
     topology = Topology(np.asarray(positions, dtype=float), rng_range)
     medium = medium_cls(sim, topology, nodes, channel=channel)

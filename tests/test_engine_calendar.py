@@ -1,37 +1,38 @@
-"""CalendarQueue: ordering, cancellation, resizing, and heap equivalence.
+"""The single event core: ``EventQueue`` ordering, cancellation and a reference model.
 
-The batched engine swaps the binary-heap ``EventQueue`` for the array-backed
-``CalendarQueue``; the whole bit-identity story of ``--engine batched`` rests
-on both queues popping the exact same ``(time, priority, sequence)`` total
-order.  The property test at the bottom drives both implementations through
-identical random push/cancel/pop workloads and compares every pop.
+Both engines run on the binary-heap :class:`~repro.sim.events.EventQueue`
+(``repro.engine.calendar.CalendarQueue`` is now only an alias of it).  The
+whole bit-identity story rests on its pop order being exactly the ``(time,
+priority, sequence)`` order, with FIFO among equal times and priorities.
+The property test at the bottom drives the queue through random interleaved
+push/cancel/pop workloads against a naive sorted-list reference and compares
+every pop, ``peek_time`` and ``len``.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.calendar import CalendarQueue
 from repro.sim.engine import Simulator
 from repro.sim.events import EventQueue
 
 
 class TestBasics:
     def test_pops_in_time_order(self):
-        queue = CalendarQueue()
+        queue = EventQueue()
         for t in [5.0, 1.0, 3.0, 2.0, 4.0]:
             queue.push(t, lambda: None)
         assert [queue.pop().time for _ in range(5)] == [1.0, 2.0, 3.0, 4.0, 5.0]
         assert len(queue) == 0 and not queue
 
     def test_fifo_within_same_timestamp(self):
-        queue = CalendarQueue()
+        queue = EventQueue()
         events = [queue.push(1.0, lambda: None) for _ in range(10)]
         popped = [queue.pop() for _ in range(10)]
         assert [e.sequence for e in popped] == [e.sequence for e in events]
 
     def test_priority_breaks_timestamp_ties(self):
-        queue = CalendarQueue()
+        queue = EventQueue()
         late = queue.push(1.0, lambda: None, priority=5)
         early = queue.push(1.0, lambda: None, priority=-5)
         assert queue.pop() is early
@@ -39,33 +40,27 @@ class TestBasics:
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            CalendarQueue().push(-0.5, lambda: None)
+            EventQueue().push(-0.5, lambda: None)
 
     def test_pop_empty_raises(self):
         with pytest.raises(IndexError):
-            CalendarQueue().pop()
-        assert CalendarQueue().peek_time() is None
-
-    def test_bad_construction_rejected(self):
-        with pytest.raises(ValueError):
-            CalendarQueue(bucket_width=0.0)
-        with pytest.raises(ValueError):
-            CalendarQueue(num_buckets=0)
+            EventQueue().pop()
+        assert EventQueue().peek_time() is None
 
     def test_clear(self):
-        queue = CalendarQueue()
+        queue = EventQueue()
         for t in range(20):
             queue.push(float(t), lambda: None)
         queue.clear()
         assert len(queue) == 0
         assert queue.peek_time() is None
-        # the sequence counter keeps running, like the heap queue's
+        # the sequence counter keeps running across a clear
         assert queue.push(1.0, lambda: None).sequence == 20
 
 
 class TestCancellation:
     def test_cancelled_events_are_skipped(self):
-        queue = CalendarQueue()
+        queue = EventQueue()
         first = queue.push(1.0, lambda: None)
         second = queue.push(2.0, lambda: None)
         first.cancel()
@@ -75,7 +70,7 @@ class TestCancellation:
         assert queue.pop() is second
 
     def test_cancel_after_peek_invalidates_cache(self):
-        queue = CalendarQueue()
+        queue = EventQueue()
         first = queue.push(1.0, lambda: None)
         second = queue.push(2.0, lambda: None)
         assert queue.peek_time() == 1.0
@@ -85,7 +80,7 @@ class TestCancellation:
         assert queue.pop() is second
 
     def test_only_cancelled_entries_left(self):
-        queue = CalendarQueue()
+        queue = EventQueue()
         event = queue.push(1.0, lambda: None)
         event.cancel()
         queue.note_cancelled()
@@ -94,7 +89,7 @@ class TestCancellation:
             queue.pop()
 
     def test_iter_pending_excludes_cancelled(self):
-        queue = CalendarQueue()
+        queue = EventQueue()
         keep = queue.push(1.0, lambda: None)
         drop = queue.push(2.0, lambda: None)
         drop.cancel()
@@ -103,36 +98,25 @@ class TestCancellation:
 
 
 class TestCalendarMechanics:
+    """Access patterns the batched engine's event traffic produces."""
+
     def test_push_earlier_than_scan_position_is_found(self):
-        # Peeking a far-future event advances the internal scan; a later push
-        # of a nearer event must still pop first (virtual-clock reset path).
-        queue = CalendarQueue(bucket_width=1.0, num_buckets=16)
+        # A nearer event pushed after peeking a far-future one pops first.
+        queue = EventQueue()
         far = queue.push(1000.0, lambda: None)
         assert queue.peek_time() == 1000.0
         near = queue.push(3.0, lambda: None)
         assert queue.pop() is near
         assert queue.pop() is far
 
-    def test_resize_preserves_order(self):
-        queue = CalendarQueue(num_buckets=16)
-        times = [((i * 7919) % 1000) / 10.0 for i in range(500)]  # forces growth
-        for t in times:
-            queue.push(t, lambda: None)
-        popped = [queue.pop() for _ in range(len(times))]
-        assert [e.time for e in popped] == sorted(times)
-        # equal times drained FIFO
-        for a, b in zip(popped, popped[1:]):
-            if a.time == b.time:
-                assert a.sequence < b.sequence
-
     def test_burst_at_single_timestamp(self):
-        queue = CalendarQueue()
+        queue = EventQueue()
         for _ in range(200):
             queue.push(42.0, lambda: None)
         assert [queue.pop().sequence for _ in range(200)] == list(range(200))
 
     def test_interleaved_pop_and_push(self):
-        queue = CalendarQueue()
+        queue = EventQueue()
         queue.push(1.0, lambda: None)
         queue.push(10.0, lambda: None)
         assert queue.pop().time == 1.0
@@ -142,7 +126,7 @@ class TestCalendarMechanics:
         assert queue.pop().time == 10.0
 
     def test_drives_a_simulator(self):
-        sim = Simulator(queue=CalendarQueue())
+        sim = Simulator()
         fired = []
         sim.schedule_at(2.0, lambda: fired.append(sim.now))
         sim.schedule_in(1.0, lambda: fired.append(sim.now))
@@ -153,8 +137,8 @@ class TestCalendarMechanics:
         assert sim.now == 10.0
 
 
-# Weighted toward collisions: repeated timestamps exercise FIFO tie-breaking,
-# the spread exercises bucket laps, resizes and the direct-search fallback.
+# Weighted toward collisions: repeated timestamps and priorities exercise the
+# (priority, sequence) tie-breaking; the float range exercises heap order.
 _times = st.one_of(
     st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.5, 7.25, 64.0, 1000.0]),
     st.floats(min_value=0.0, max_value=200.0, allow_nan=False, allow_infinity=False),
@@ -171,44 +155,39 @@ _ops = st.lists(
 
 
 class TestHeapEquivalenceProperty:
-    """Satellite: CalendarQueue and EventQueue pop identical sequences."""
+    """``EventQueue`` pops exactly what a sorted list of live keys says."""
 
     @given(_ops)
     @settings(max_examples=200, deadline=None)
     def test_identical_pop_sequences(self, ops):
-        heap, calendar = EventQueue(), CalendarQueue()
-        pushed = []  # (heap_event, calendar_event) pairs, in push order
-        clock = 0.0  # engine invariant: never schedule in the past
+        queue = EventQueue()
+        live = {}  # (time, priority, sequence) -> event, the reference model
+        pushed = 0
         for kind, value, priority in ops:
             if kind == "push":
-                time = clock + value
-                pushed.append(
-                    (
-                        heap.push(time, lambda: None, priority=priority),
-                        calendar.push(time, lambda: None, priority=priority),
-                    )
-                )
-            elif kind == "cancel" and pushed:
-                heap_event, calendar_event = pushed[value % len(pushed)]
-                if not heap_event.cancelled:
-                    heap_event.cancel()
-                    heap.note_cancelled()
-                    calendar_event.cancel()
-                    calendar.note_cancelled()
+                event = queue.push(value, lambda: None, priority=priority)
+                assert (event.time, event.priority, event.sequence) == (value, priority, pushed)
+                live[(value, priority, pushed)] = event
+                pushed += 1
+            elif kind == "cancel" and live:
+                key = sorted(live)[value % len(live)]
+                live.pop(key).cancel()
+                queue.note_cancelled()
             elif kind == "pop":
-                assert heap.peek_time() == calendar.peek_time()
-                assert len(heap) == len(calendar)
-                if heap:
-                    a, b = heap.pop(), calendar.pop()
-                    assert (a.time, a.priority, a.sequence) == (
-                        b.time,
-                        b.priority,
-                        b.sequence,
-                    )
-                    clock = a.time
-        # drain both completely
-        assert len(heap) == len(calendar)
-        while heap:
-            a, b = heap.pop(), calendar.pop()
-            assert (a.time, a.priority, a.sequence) == (b.time, b.priority, b.sequence)
-        assert not calendar
+                if live:
+                    expected = min(live)
+                    event = queue.pop()
+                    assert (event.time, event.priority, event.sequence) == expected
+                    assert live.pop(expected) is event
+                else:
+                    with pytest.raises(IndexError):
+                        queue.pop()
+            reference = sorted(live)
+            assert queue.peek_time() == (reference[0][0] if reference else None)
+            assert len(queue) == len(reference)
+        # drain completely, in reference order
+        for expected in sorted(live):
+            event = queue.pop()
+            assert (event.time, event.priority, event.sequence) == expected
+        assert not queue
+        assert queue.peek_time() is None

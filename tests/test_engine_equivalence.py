@@ -1,7 +1,7 @@
 """Scalar vs. batched engine: seeded runs must be byte-identical.
 
-The batched engine (calendar-queue event core + columnar message bus,
-``repro.engine``) is a pure speed knob: for any seeded scenario the
+The batched engine (columnar message bus, ``repro.engine``, on the shared
+binary-heap event core) is a pure speed knob: for any seeded scenario the
 :class:`~repro.metrics.summary.RunSummary` JSON must match the scalar
 reference engine bit for bit -- across schedulers, stimuli, noisy sensing,
 node failures, lossy channels and jitter.  This is the contract that lets

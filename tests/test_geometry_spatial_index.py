@@ -46,8 +46,15 @@ class TestGridIndex:
     def test_query_pairs_symmetric_small_case(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 0.0]])
         index = GridIndex(pts, cell_size=2.0)
-        assert index.query_pairs(1.5) == [(0, 1)]
-        assert set(index.query_pairs(5.0)) == {(0, 1), (0, 2), (1, 2)}
+
+        def pairs(radius):
+            first, second = index.query_pairs(radius)
+            return list(zip(first.tolist(), second.tolist()))
+
+        assert pairs(1.5) == [(0, 1)]
+        assert pairs(5.0) == [(0, 1), (0, 2), (1, 2)]
+        first, second = index.query_pairs(0.5)
+        assert first.size == second.size == 0
 
     def test_nearest(self):
         pts = np.array([[0.0, 0.0], [10.0, 10.0], [3.0, 3.0]])

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.network.messages import MessageType, Request, Response
 from repro.network.topology import Topology
@@ -127,3 +129,42 @@ class TestTopology:
         topo = Topology(np.zeros((2, 2)), transmission_range=1.0)
         with pytest.raises(KeyError):
             topo.neighbours(5)
+
+
+# Random deployments: a few coincident and collinear points come from the
+# small coordinate pool, arbitrary floats from the continuous range.
+_coordinate = st.one_of(
+    st.sampled_from([0.0, 1.0, 5.0, 10.0]),
+    st.floats(min_value=0.0, max_value=60.0, allow_nan=False, allow_infinity=False),
+)
+_deployments = st.lists(st.tuples(_coordinate, _coordinate), min_size=1, max_size=60)
+
+
+class TestNeighbourTableProperty:
+    """The NumPy-built CSR and the lazily-built scalar views agree bit for bit."""
+
+    @given(_deployments, st.floats(min_value=0.5, max_value=25.0))
+    @settings(max_examples=100, deadline=None)
+    def test_csr_matches_scalar_queries(self, points, transmission_range):
+        positions = np.asarray(points, dtype=float)
+        n = len(positions)
+        topo = Topology(positions, transmission_range)
+        indptr, ids, dists = topo.neighbour_table()
+        assert indptr.shape == (n + 1,) and indptr[0] == 0
+        assert ids.dtype == np.int64 and dists.dtype == np.float64
+        for i in range(n):
+            row = ids[indptr[i] : indptr[i + 1]]
+            assert tuple(row.tolist()) == topo.neighbours(i)
+            scalar = np.array([topo.link_distance(i, j) for j in row.tolist()], dtype=float)
+            assert scalar.tobytes() == dists[indptr[i] : indptr[i + 1]].tobytes()
+            for j in row.tolist():
+                assert topo.link_distance(i, j) == topo.distance(min(i, j), max(i, j))
+        degrees = [topo.degree(i) for i in range(n)]
+        assert topo.average_degree() == sum(degrees) / n
+        # edges(): every pair i < j within range (the spatial hash's
+        # squared-distance test), sorted, each listed once
+        d2 = np.sum((positions[:, None, :] - positions[None, :, :]) ** 2, axis=2)
+        r2 = transmission_range * transmission_range + 1e-12
+        expected = [(i, j) for i in range(n) for j in range(i + 1, n) if d2[i, j] <= r2]
+        assert topo.edges() == expected
+        assert int(indptr[-1]) == 2 * len(expected)

@@ -116,6 +116,17 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             ScenarioConfig(**kwargs)
 
+    @pytest.mark.parametrize("field_name", ["duration", "transmission_range"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected(self, field_name, value):
+        # An infinite duration would never end; NaN passes every ``<= 0`` check.
+        with pytest.raises(ValueError, match="finite"):
+            ScenarioConfig(**{field_name: value})
+
+    def test_non_finite_rejected_through_overrides(self):
+        with pytest.raises(ValueError, match="finite"):
+            ScenarioConfig().with_overrides(duration=math.inf)
+
 
 class TestBuildStimulus:
     def _scenario(self, stim):
